@@ -47,9 +47,9 @@ func TestDBNoPidAnywhere(t *testing.T) {
 }
 
 // TestDBAtomicModes covers the global-commit surface of the front door:
-// UpdateAtomic + ViewConsistent round-trips with a GSN vector, the
-// AtomicDefault option rerouting Update/View, and UpdateAtomicKeys driving
-// a multi-key compare-and-swap.
+// UpdateAtomic + ViewConsistent round-trips with a GSN vector, plain View
+// snaps claiming no consistency, the per-shard and global write forms side
+// by side, and UpdateAtomicKeys driving a multi-key compare-and-swap.
 func TestDBAtomicModes(t *testing.T) {
 	db, err := mvgc.OpenPlainDB[uint64, int64](mvgc.DBOptions[uint64]{Shards: 4, Procs: 3}, nil)
 	if err != nil {
@@ -117,20 +117,25 @@ func TestDBAtomicModes(t *testing.T) {
 		t.Fatalf("leaked %d nodes", live)
 	}
 
-	// AtomicDefault: plain Update/View become the global-commit forms.
-	adb, err := mvgc.OpenPlainDB[uint64, int64](mvgc.DBOptions[uint64]{Shards: 2, Procs: 2, AtomicDefault: true}, nil)
+	// The per-shard and global forms of the same multi-key write and view,
+	// picked per call.
+	adb, err := mvgc.OpenPlainDB[uint64, int64](mvgc.DBOptions[uint64]{Shards: 2, Procs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adb.Update(func(tx *mvgc.DBTxn[uint64, int64, struct{}]) { tx.Insert(1, 1); tx.Insert(2, 2) })
-	adb.View(func(s mvgc.DBSnapshot[uint64, int64, struct{}]) {
+	adb.UpdateAtomic(func(tx *mvgc.DBTxn[uint64, int64, struct{}]) { tx.Insert(1, 1); tx.Insert(2, 2) })
+	adb.Update(func(tx *mvgc.DBTxn[uint64, int64, struct{}]) { tx.Insert(3, 3); tx.Insert(4, 4) })
+	adb.ViewConsistent(func(s mvgc.DBSnapshot[uint64, int64, struct{}]) {
 		if !s.Consistent() {
-			t.Error("AtomicDefault View is not consistent")
+			t.Error("ViewConsistent snap is not consistent")
+		}
+		if s.Len() != 4 {
+			t.Errorf("consistent view holds %d keys, want 4", s.Len())
 		}
 	})
 	adb.Close()
 	if live := adb.Live(); live != 0 {
-		t.Fatalf("AtomicDefault db leaked %d nodes", live)
+		t.Fatalf("second db leaked %d nodes", live)
 	}
 }
 
@@ -195,13 +200,23 @@ func TestDBScan(t *testing.T) {
 	})
 }
 
-// TestDBForEachChunked covers the bounded-staleness front door on both
-// consistency settings: the full key set streams in order through the
-// chunked re-pinning walk, and early exit reports non-completion.
+// TestDBForEachChunked covers the bounded-staleness front door in both
+// consistency modes (ForEachChunked, ForEachChunkedConsistent): the full
+// key set streams in order through the chunked re-pinning walk, and early
+// exit reports non-completion.
 func TestDBForEachChunked(t *testing.T) {
-	for _, atomicDefault := range []bool{false, true} {
-		db, err := mvgc.OpenPlainDB[uint64, uint64](
-			mvgc.DBOptions[uint64]{Shards: 4, Procs: 3, AtomicDefault: atomicDefault}, nil)
+	for _, mode := range []struct {
+		name string
+		walk func(db *mvgc.DB[uint64, uint64, struct{}], n int, f func(k, v uint64) bool) bool
+	}{
+		{"per-shard", func(db *mvgc.DB[uint64, uint64, struct{}], n int, f func(k, v uint64) bool) bool {
+			return db.ForEachChunked(n, f)
+		}},
+		{"consistent", func(db *mvgc.DB[uint64, uint64, struct{}], n int, f func(k, v uint64) bool) bool {
+			return db.ForEachChunkedConsistent(n, f)
+		}},
+	} {
+		db, err := mvgc.OpenPlainDB[uint64, uint64](mvgc.DBOptions[uint64]{Shards: 4, Procs: 3}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,25 +225,25 @@ func TestDBForEachChunked(t *testing.T) {
 			db.Insert(k, k+1)
 		}
 		visited := uint64(0)
-		if !db.ForEachChunked(32, func(k, v uint64) bool {
+		if !mode.walk(db, 32, func(k, v uint64) bool {
 			if k != visited || v != k+1 {
-				t.Fatalf("atomic=%v: got %d:%d at position %d", atomicDefault, k, v, visited)
+				t.Fatalf("%s: got %d:%d at position %d", mode.name, k, v, visited)
 			}
 			visited++
 			return true
 		}) {
-			t.Fatalf("atomic=%v: chunked walk did not complete", atomicDefault)
+			t.Fatalf("%s: chunked walk did not complete", mode.name)
 		}
 		if visited != n {
-			t.Fatalf("atomic=%v: visited %d keys, want %d", atomicDefault, visited, n)
+			t.Fatalf("%s: visited %d keys, want %d", mode.name, visited, n)
 		}
 		count := 0
-		if db.ForEachChunked(10, func(k, v uint64) bool { count++; return count < 15 }) {
-			t.Fatalf("atomic=%v: stopped walk reported completion", atomicDefault)
+		if mode.walk(db, 10, func(k, v uint64) bool { count++; return count < 15 }) {
+			t.Fatalf("%s: stopped walk reported completion", mode.name)
 		}
 		db.Close()
 		if live := db.Live(); live != 0 {
-			t.Fatalf("atomic=%v: leaked %d nodes", atomicDefault, live)
+			t.Fatalf("%s: leaked %d nodes", mode.name, live)
 		}
 	}
 }

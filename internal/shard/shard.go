@@ -127,11 +127,9 @@ type Map[K, V, A any] struct {
 	// so a warm fixed-length scan allocates nothing.
 	scans sync.Pool
 
-	// wal, when non-nil, is the attached redo log (see wal.go in this
-	// package): every write path logs under walMu[i] — held across
-	// {in-memory commit + Append} so the per-shard log order equals the
-	// per-shard commit order — and acks after the log's fsync policy runs.
-	wal    *walBinding[K, V]
+	// wal, when non-nil, is the attached redo log, the commit pipeline's
+	// sink (commit.go, wal.go); walMu[i] orders shard i's records.
+	wal    *walBinding[K, V, A]
 	walMu  []sync.Mutex
 	ckptMu sync.Mutex
 
@@ -248,15 +246,10 @@ func (m *Map[K, V, A]) Insert(k K, v V) error {
 		return ErrClosed
 	}
 	defer m.exit(i)
-	if m.wal == nil {
-		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-			h.Update(func(tx *core.Txn[K, V, A]) { tx.Insert(k, v) })
-		})
-		return nil
-	}
-	return m.walPoint(i,
-		func(tx *core.Txn[K, V, A]) { tx.Insert(k, v) },
-		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { e.appendInsert(k, v) })
+	return m.commitShard(nil, i, false, func(tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+		tx.Insert(k, v)
+		e.appendInsert(k, v)
+	})
 }
 
 // InsertWith adds one entry, combining with any existing value.  The
@@ -268,21 +261,10 @@ func (m *Map[K, V, A]) InsertWith(k K, v V, comb func(old, new V) V) error {
 		return ErrClosed
 	}
 	defer m.exit(i)
-	if m.wal == nil {
-		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-			h.Update(func(tx *core.Txn[K, V, A]) { tx.InsertWith(k, v, comb) })
-		})
-		return nil
-	}
-	return m.walPoint(i,
-		func(tx *core.Txn[K, V, A]) { tx.InsertWith(k, v, comb) },
-		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) {
-			if post, ok := tx.Get(k); ok {
-				e.appendInsert(k, post)
-			} else {
-				e.appendInsert(k, v)
-			}
-		})
+	return m.commitShard(nil, i, false, func(tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+		tx.InsertWith(k, v, comb)
+		e.postImage(tx, k, v)
+	})
 }
 
 // Delete removes one entry in a single-shard write transaction.
@@ -292,15 +274,10 @@ func (m *Map[K, V, A]) Delete(k K) error {
 		return ErrClosed
 	}
 	defer m.exit(i)
-	if m.wal == nil {
-		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-			h.Update(func(tx *core.Txn[K, V, A]) { tx.Delete(k) })
-		})
-		return nil
-	}
-	return m.walPoint(i,
-		func(tx *core.Txn[K, V, A]) { tx.Delete(k) },
-		func(e *walEnc[K, V], tx *core.Txn[K, V, A]) { e.appendDelete(k) })
+	return m.commitShard(nil, i, false, func(tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+		tx.Delete(k)
+		e.appendDelete(k)
+	})
 }
 
 // InsertBatch partitions the batch by shard and commits each part as one
@@ -320,17 +297,9 @@ func (m *Map[K, V, A]) InsertBatch(entries []ftree.Entry[K, V], comb func(old, n
 		parts[i] = append(parts[i], e)
 	}
 	return m.batchFanout(len(parts), func(i int) bool { return len(parts[i]) > 0 },
-		func(i int, tx *core.Txn[K, V, A]) { tx.InsertBatch(parts[i], comb) },
-		func(i int, e *walEnc[K, V], tx *core.Txn[K, V, A]) {
-			for _, en := range parts[i] {
-				if comb != nil {
-					if v, ok := tx.Get(en.Key); ok {
-						e.appendInsert(en.Key, v)
-						continue
-					}
-				}
-				e.appendInsert(en.Key, en.Val)
-			}
+		func(i int, tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+			tx.InsertBatch(parts[i], comb)
+			e.inserts(tx, parts[i], comb)
 		})
 }
 
@@ -348,28 +317,20 @@ func (m *Map[K, V, A]) DeleteBatch(keys []K) error {
 		parts[i] = append(parts[i], k)
 	}
 	return m.batchFanout(len(parts), func(i int) bool { return len(parts[i]) > 0 },
-		func(i int, tx *core.Txn[K, V, A]) { tx.DeleteBatch(parts[i]) },
-		func(i int, e *walEnc[K, V], tx *core.Txn[K, V, A]) {
-			for _, k := range parts[i] {
-				e.appendDelete(k)
-			}
+		func(i int, tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+			tx.DeleteBatch(parts[i])
+			e.appendDeletes(parts[i])
 		})
 }
 
 // batchFanout commits one write transaction per non-empty shard part, all
-// in parallel.  Without a WAL it is fire-and-forget; with one, every
-// shard's commit+append runs under that shard's walMu and a single group
-// Commit covers the whole fan-out.  The first error wins (sticky log
-// errors make the rest fail identically anyway).
-func (m *Map[K, V, A]) batchFanout(n int, nonEmpty func(i int) bool, apply func(i int, tx *core.Txn[K, V, A]), encode func(i int, e *walEnc[K, V], tx *core.Txn[K, V, A])) error {
-	if m.wal != nil {
-		if err := m.wal.log.Err(); err != nil {
-			return err
-		}
-	}
+// in parallel, as one commit group: with a log, a single group Commit
+// covers the whole fan-out.  The first error wins (sticky log errors make
+// the rest fail identically anyway).
+func (m *Map[K, V, A]) batchFanout(n int, nonEmpty func(i int) bool, apply func(i int, tx *core.Txn[K, V, A], e *walEnc[K, V, A])) error {
+	var grp commitGroup
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	appended := make([]bool, n)
 	for i := 0; i < n; i++ {
 		if !nonEmpty(i) {
 			continue
@@ -377,37 +338,16 @@ func (m *Map[K, V, A]) batchFanout(n int, nonEmpty func(i int) bool, apply func(
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if m.wal == nil {
-				m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-					h.Update(func(tx *core.Txn[K, V, A]) { apply(i, tx) })
-				})
-				return
-			}
-			e := m.wal.getEnc()
-			defer m.wal.putEnc(e)
-			appended[i], errs[i] = m.walShardCommit(i, e,
-				func(tx *core.Txn[K, V, A]) { apply(i, tx) },
-				func(tx *core.Txn[K, V, A]) {
-					e.buf = e.buf[:0]
-					encode(i, e, tx)
-				})
+			errs[i] = m.commitShard(&grp, i, false, func(tx *core.Txn[K, V, A], e *walEnc[K, V, A]) { apply(i, tx, e) })
 		}(i)
 	}
 	wg.Wait()
-	if m.wal == nil {
-		return nil
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	for _, a := range appended {
-		if a {
-			return m.wal.log.Commit()
-		}
-	}
-	return nil
+	return m.syncGroup(&grp)
 }
 
 // Len returns the total entry count.  Each shard is counted from its own
@@ -846,43 +786,20 @@ func (m *Map[K, V, A]) Update(f func(t *Txn[K, V, A])) error {
 	defer m.exit(0)
 	t := &Txn[K, V, A]{m: m, intents: make([][]intent[K, V], len(m.shards))}
 	f(t)
-	if m.wal == nil {
-		for i, list := range t.intents {
-			if len(list) == 0 {
-				continue
-			}
-			m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-				h.Update(func(tx *core.Txn[K, V, A]) { replay(tx, list) })
-			})
-		}
-		return nil
-	}
-	if err := m.wal.log.Err(); err != nil {
-		return err
-	}
-	e := m.wal.getEnc()
-	defer m.wal.putEnc(e)
-	appended := false
+	var grp commitGroup
 	for i, list := range t.intents {
 		if len(list) == 0 {
 			continue
 		}
-		list := list
-		a, err := m.walShardCommit(i, e,
-			func(tx *core.Txn[K, V, A]) { replay(tx, list) },
-			func(tx *core.Txn[K, V, A]) {
-				e.buf = e.buf[:0]
-				encodeIntents(e, tx, list)
-			})
+		err := m.commitShard(&grp, i, false, func(tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+			replay(tx, list)
+			e.intents(tx, list)
+		})
 		if err != nil {
 			return err
 		}
-		appended = appended || a
 	}
-	if !appended {
-		return nil
-	}
-	return m.wal.log.Commit()
+	return m.syncGroup(&grp)
 }
 
 // UpdateAtomic runs a buffered cross-shard write transaction with a global
@@ -912,104 +829,20 @@ func (m *Map[K, V, A]) UpdateAtomic(f func(t *Txn[K, V, A])) error {
 	t := &Txn[K, V, A]{m: m, intents: make([][]intent[K, V], len(m.shards))}
 	f(t)
 	touched := t.touched()
-	if len(touched) == 0 {
+	switch len(touched) {
+	case 0:
 		return nil
-	}
-	if m.wal != nil {
-		if err := m.wal.log.Err(); err != nil {
-			return err
-		}
-	}
-	if len(touched) == 1 {
-		i := touched[0]
-		list := t.intents[i]
-		if m.wal == nil {
-			m.shards[i].LockWriterSlot()
-			defer m.shards[i].UnlockWriterSlot()
-			m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-				h.Update(func(tx *core.Txn[K, V, A]) { replay(tx, list) })
-			})
-			return nil
-		}
-		// Lock order: walMu before the writer slot, matching the combiner's
-		// persist hook (which holds walMu while its commit takes the slot).
-		e := m.wal.getEnc()
-		defer m.wal.putEnc(e)
-		var g uint64
-		var err error
-		m.walMu[i].Lock()
-		m.shards[i].LockWriterSlot()
-		m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-			h.Update(func(tx *core.Txn[K, V, A]) {
-				replay(tx, list)
-				e.buf = e.buf[:0]
-				encodeIntents(e, tx, list)
-			})
-			g = h.LastStamp()
+	case 1:
+		list := t.intents[touched[0]]
+		return m.commitShard(nil, touched[0], true, func(tx *core.Txn[K, V, A], e *walEnc[K, V, A]) {
+			replay(tx, list)
+			e.intents(tx, list)
 		})
-		m.shards[i].UnlockWriterSlot()
-		if g != 0 {
-			err = m.wal.log.Append(g, e.buf)
-		}
-		m.walMu[i].Unlock()
-		if err != nil || g == 0 {
-			return err
-		}
-		return m.wal.log.Commit()
 	}
-	if m.wal == nil {
-		// Slots are released by defer so a panic out of a user comb during
-		// the install (which forfeits atomicity for the legs already
-		// installed — see core.InstallAtomic) cannot wedge the fence.
-		core.LockWriterSlots(m.shards, touched)
-		defer core.UnlockWriterSlots(m.shards, touched)
-		m.installLocked(touched, t.intents, nil, nil, nil, nil)
-		return nil
-	}
-	// WAL'd multi-shard install: every touched shard's walMu is held
-	// (ascending) around the whole install, so the transaction's single
-	// record — all shards' ops under the install GSN — cannot interleave
-	// out of commit order with any shard's other records.
-	e := m.wal.getEnc()
-	m.lockWALMus(touched)
-	unlock := func() {
-		if touched != nil {
-			m.unlockWALMus(touched)
-			touched = nil
-		}
-	}
-	defer unlock()
-	defer m.wal.putEnc(e)
-	// marks[j] is where shard j's ops start in the shared record buffer:
-	// a per-shard install retries its transaction on conflict, re-running
-	// the encode, so each attempt truncates back to its own mark first.
-	marks := make([]int, len(touched))
-	for j := range marks {
-		marks[j] = -1
-	}
-	install := func() (uint64, bool) {
-		core.LockWriterSlots(m.shards, touched)
-		defer core.UnlockWriterSlots(m.shards, touched)
-		return m.installLocked(touched, t.intents, nil, nil, nil,
-			func(j, i int, tx *core.Txn[K, V, A]) {
-				if marks[j] < 0 {
-					marks[j] = len(e.buf)
-				} else {
-					e.buf = e.buf[:marks[j]]
-				}
-				encodeIntents(e, tx, t.intents[i])
-			})
-	}
-	g, _ := install()
-	var err error
-	if g != 0 {
-		err = m.wal.log.Append(g, e.buf)
-	}
-	unlock()
-	if err != nil || g == 0 {
-		return err
-	}
-	return m.wal.log.Commit()
+	return m.commit(nil, touched, true, func(e *walEnc[K, V, A]) uint64 {
+		g, _ := m.installLocked(touched, t.intents, nil, nil, nil, e)
+		return g
+	})
 }
 
 // UpdateAtomicKeys runs an atomic cross-shard transaction whose key
@@ -1071,20 +904,13 @@ func (m *Map[K, V, A]) UpdateAtomicKeys(keys []K, f func(t *Txn[K, V, A])) error
 	t := &Txn[K, V, A]{m: m, intents: make([][]intent[K, V], len(m.shards)), occ: true}
 	wstripes := make([][]uint64, len(m.shards))
 	hbuf := make([]*core.Handle[K, V, A], len(m.shards))
-	var e *walEnc[K, V]
-	var marks []int
-	if m.wal != nil {
-		e = m.wal.getEnc()
-		defer m.wal.putEnc(e)
-		marks = make([]int, len(touched))
-	}
 	for attempt := 0; ; attempt++ {
-		if m.wal != nil {
-			if err := m.wal.log.Err(); err != nil {
-				return err
-			}
-		}
-		committed, err := m.atomicKeysAttempt(touched, inFootprint, t, wstripes, hbuf, f, e, marks)
+		committed := false
+		err := m.commit(nil, touched, true, func(e *walEnc[K, V, A]) uint64 {
+			var g uint64
+			g, committed = m.atomicKeysAttempt(inFootprint, t, wstripes, hbuf, f, e)
+			return g
+		})
 		if committed || err != nil {
 			return err
 		}
@@ -1093,29 +919,13 @@ func (m *Map[K, V, A]) UpdateAtomicKeys(keys []K, f func(t *Txn[K, V, A])) error
 	}
 }
 
-// atomicKeysAttempt runs one lock-validate-install attempt of an
-// UpdateAtomicKeys transaction and reports whether it committed.  The
-// footprint shards' writer slots are held only for the attempt's duration
-// — released before the caller's backoff — so fenced writers on those
-// shards make progress between aborts.  With a WAL (e non-nil) the
-// footprint shards' walMu bracket the attempt: logged point writers on
-// those shards are held off from first read to Append, so a committed
-// attempt's record lands in per-shard commit order.
-func (m *Map[K, V, A]) atomicKeysAttempt(touched []int, inFootprint []bool, t *Txn[K, V, A], wstripes [][]uint64, hbuf []*core.Handle[K, V, A], f func(t *Txn[K, V, A]), e *walEnc[K, V], marks []int) (bool, error) {
-	walHeld := false
-	if e != nil {
-		m.lockWALMus(touched)
-		walHeld = true
-	}
-	unlockWAL := func() {
-		if walHeld {
-			walHeld = false
-			m.unlockWALMus(touched)
-		}
-	}
-	defer unlockWAL()
-	core.LockWriterSlots(m.shards, touched)
-	defer core.UnlockWriterSlots(m.shards, touched)
+// atomicKeysAttempt runs one validate-install attempt of an
+// UpdateAtomicKeys transaction, inside the commit pipeline with the
+// footprint shards' writer slots held — they are released between
+// attempts, before the caller's backoff, so fenced writers on those shards
+// make progress between aborts.  It returns the attempt's GSN and whether
+// it committed.
+func (m *Map[K, V, A]) atomicKeysAttempt(inFootprint []bool, t *Txn[K, V, A], wstripes [][]uint64, hbuf []*core.Handle[K, V, A], f func(t *Txn[K, V, A]), e *walEnc[K, V, A]) (uint64, bool) {
 	for i := range t.intents {
 		t.intents[i] = t.intents[i][:0]
 	}
@@ -1149,38 +959,7 @@ func (m *Map[K, V, A]) atomicKeysAttempt(touched []int, inFootprint []bool, t *T
 		}
 		return true
 	}
-	var onReplay func(j, i int, tx *core.Txn[K, V, A])
-	if e != nil {
-		e.buf = e.buf[:0]
-		for j := range write {
-			marks[j] = -1
-		}
-		onReplay = func(j, i int, tx *core.Txn[K, V, A]) {
-			// Per-shard installs retry on conflict; truncate back to this
-			// shard's mark so a re-run never duplicates its ops.
-			if marks[j] < 0 {
-				marks[j] = len(e.buf)
-			} else {
-				e.buf = e.buf[:marks[j]]
-			}
-			encodeIntents(e, tx, t.intents[i])
-		}
-	}
-	g, ok := m.installLocked(write, t.intents, wstripes, hbuf, validate, onReplay)
-	if e == nil || !ok {
-		return ok, nil
-	}
-	var err error
-	if g != 0 {
-		err = m.wal.log.Append(g, e.buf)
-	}
-	unlockWAL()
-	if err != nil || g == 0 {
-		// Committed in memory either way; a non-nil err reports the log is
-		// poisoned (sticky), so the caller sees the durability failure.
-		return true, err
-	}
-	return true, m.wal.log.Commit()
+	return m.installLocked(write, t.intents, wstripes, hbuf, validate, e)
 }
 
 // OCCAborts reports how many UpdateAtomicKeys attempts were aborted by
@@ -1208,13 +987,11 @@ func (m *Map[K, V, A]) OCCAborts() int64 { return m.occAborts.Load() }
 // the stripes are locked BEFORE validation runs (inside
 // InstallAtomicValidated), which is what makes validate-then-install
 // atomic against unfenced writers; see core.InstallAtomicValidated.
-// onReplay, when non-nil, runs inside each touched shard's install
-// transaction after its intents are replayed (j indexes touched, i is the
-// shard); the WAL paths use it to encode the shard's post-images from
-// inside the very transaction that commits them.  installLocked returns
-// the transaction's GSN (0 when nothing installed) and whether it
-// committed.
-func (m *Map[K, V, A]) installLocked(touched []int, intents [][]intent[K, V], wstripes [][]uint64, hbuf []*core.Handle[K, V, A], validate func() bool, onReplay func(j, i int, tx *core.Txn[K, V, A])) (uint64, bool) {
+// Each touched shard's install transaction encodes its post-images into e
+// as the record's j-th leg, from inside the very transaction that commits
+// them.  installLocked returns the transaction's GSN (0 when nothing
+// installed) and whether it committed.
+func (m *Map[K, V, A]) installLocked(touched []int, intents [][]intent[K, V], wstripes [][]uint64, hbuf []*core.Handle[K, V, A], validate func() bool, e *walEnc[K, V, A]) (uint64, bool) {
 	var gsn uint64
 	ok := false
 	// hbuf lets UpdateAtomicKeys amortize the lease slots across retry
@@ -1252,9 +1029,8 @@ func (m *Map[K, V, A]) installLocked(touched []int, intents [][]intent[K, V], ws
 					// its commit bracket would stall on our own locks.
 					tx.HoldsStripeLocks()
 					replay(tx, list)
-					if onReplay != nil {
-						onReplay(j, i, tx)
-					}
+					e.leg(j)
+					e.intents(tx, list)
 				})
 			}
 		})
@@ -1279,9 +1055,7 @@ func (m *Map[K, V, A]) StartBatching(cfg batch.Config, comb func(old, new V) V) 
 	m.batchers = make([]*batch.Batcher[K, V, A], len(m.shards))
 	for i, s := range m.shards {
 		b := batch.New(s, cfg, comb)
-		if m.wal != nil {
-			b.SetPersist(m.walPersist(i, comb != nil))
-		}
+		b.SetPersist(m.persistHook(i, comb != nil))
 		m.batchers[i] = b
 		b.Start()
 	}
@@ -1444,10 +1218,7 @@ func (m *Map[K, V, A]) Close() error {
 	if m.batchers != nil {
 		m.stopBatching()
 	}
-	var err error
-	if m.wal != nil {
-		err = m.wal.log.Close()
-	}
+	err := m.closeWAL()
 	for _, s := range m.shards {
 		s.Close()
 	}

@@ -1,15 +1,16 @@
-// WAL binding: redo logging for every sharded write path.
+// WAL binding: the redo log as the commit pipeline's sink.
 //
 // The log (internal/wal) is a single GSN-keyed redo stream shared by all
 // shards.  Soundness requires that, per shard, records reach the log in the
 // order their commits became visible — the raw GSN allocation order is NOT
 // that order, because a shard's stamp is allocated after its Set and two
-// writers on one shard can be preempted between the two steps.  Every
-// logged write path therefore holds its shard's walMu across {in-memory
-// commit + Append}, which collapses per-shard log order onto per-shard
-// commit order; cross-shard order between records is then exactly GSN
-// order, because stamps are allocated from one shared source after
-// visibility (core/stamp.go) and recovery replays records sorted by GSN.
+// writers on one shard can be preempted between the two steps.  The commit
+// pipeline (commit.go; DESIGN.md "Commit pipeline") holds each shard's
+// walMu across {in-memory commit + Append}, which collapses per-shard log
+// order onto per-shard commit order; cross-shard order between records is
+// then exactly GSN order, because stamps are allocated from one shared
+// source after visibility (core/stamp.go) and recovery replays records
+// sorted by GSN.
 //
 // Records carry ABSOLUTE post-images (insert k=v / delete k), never deltas:
 // a combining write (InsertWith, combiner batches with a comb) is resolved
@@ -17,11 +18,6 @@
 // replay is idempotent and a record buried under a later one is simply
 // overwritten.  Commits that publish nothing (a delete of an absent key)
 // allocate no stamp and write no record.
-//
-// Ordering discipline, map-wide: walMu (ascending shard order) -> writer
-// slots (ascending) -> install/stripe locks.  walMu is released BEFORE
-// Commit() — the group-fsync wait — so one shard's durability wait never
-// blocks another writer's commit on the same shard.
 package shard
 
 import (
@@ -30,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mvgc/internal/batch"
 	"mvgc/internal/core"
 	"mvgc/internal/ftree"
 	"mvgc/internal/wal"
@@ -75,38 +70,61 @@ const (
 	walOpDelete = 2
 )
 
-// walEnc is a pooled encode buffer pair: buf accumulates the record, while
+// walEnc is a pooled record encoder: buf accumulates the record, while
 // scratch holds one key or value encode so its length can be written as a
 // uvarint prefix before the bytes (codecs append open-endedly, so the
-// length is only known after the fact).
-type walEnc[K, V any] struct {
+// length is only known after the fact).  A nil *walEnc is the in-memory
+// sink: every encode method on it is a no-op.
+type walEnc[K, V, A any] struct {
 	cfg     *WALConfig[K, V]
 	buf     []byte
 	scratch []byte
+	// marks[j] is where leg j's ops start in buf.  A leg's transaction
+	// retries on conflict, re-running its encode, so each run rewinds to
+	// its own mark first (leg) and never duplicates ops.
+	marks []int
 }
 
-type walBinding[K, V any] struct {
+type walBinding[K, V, A any] struct {
 	log  *wal.Log
 	cfg  WALConfig[K, V]
-	encs sync.Pool // *walEnc[K, V]
+	encs sync.Pool // *walEnc[K, V, A]
 }
 
-func (w *walBinding[K, V]) getEnc() *walEnc[K, V] {
-	if e, ok := w.encs.Get().(*walEnc[K, V]); ok {
+func (w *walBinding[K, V, A]) getEnc() *walEnc[K, V, A] {
+	if e, ok := w.encs.Get().(*walEnc[K, V, A]); ok {
 		e.buf = e.buf[:0]
+		e.marks = e.marks[:0]
 		return e
 	}
-	return &walEnc[K, V]{cfg: &w.cfg}
+	return &walEnc[K, V, A]{cfg: &w.cfg}
 }
 
-func (w *walBinding[K, V]) putEnc(e *walEnc[K, V]) { w.encs.Put(e) }
+func (w *walBinding[K, V, A]) putEnc(e *walEnc[K, V, A]) { w.encs.Put(e) }
 
-func (e *walEnc[K, V]) appendScratch() {
+// leg starts (or, on a retry, restarts) the ops of leg j — the j-th shard
+// transaction of the record, in order.
+func (e *walEnc[K, V, A]) leg(j int) {
+	if e == nil {
+		return
+	}
+	if j < len(e.marks) {
+		e.buf = e.buf[:e.marks[j]]
+		e.marks = e.marks[:j+1]
+		return
+	}
+	e.marks = append(e.marks, len(e.buf))
+}
+
+func (e *walEnc[K, V, A]) appendScratch() {
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(e.scratch)))
 	e.buf = append(e.buf, e.scratch...)
 }
 
-func (e *walEnc[K, V]) appendInsert(k K, v V) {
+func (e *walEnc[K, V, A]) appendInsert(k K, v V) {
+	if e == nil {
+		return
+	}
 	e.buf = append(e.buf, walOpInsert)
 	e.scratch = e.cfg.EncKey(e.scratch[:0], k)
 	e.appendScratch()
@@ -114,10 +132,100 @@ func (e *walEnc[K, V]) appendInsert(k K, v V) {
 	e.appendScratch()
 }
 
-func (e *walEnc[K, V]) appendDelete(k K) {
+func (e *walEnc[K, V, A]) appendDelete(k K) {
+	if e == nil {
+		return
+	}
 	e.buf = append(e.buf, walOpDelete)
 	e.scratch = e.cfg.EncKey(e.scratch[:0], k)
 	e.appendScratch()
+}
+
+func (e *walEnc[K, V, A]) appendDeletes(keys []K) {
+	if e == nil {
+		return
+	}
+	for _, k := range keys {
+		e.appendDelete(k)
+	}
+}
+
+// postImage appends k's value as the committing transaction tx sees it —
+// the resolved result of a combining write — or v when tx reads k absent.
+func (e *walEnc[K, V, A]) postImage(tx *core.Txn[K, V, A], k K, v V) {
+	if e == nil {
+		return
+	}
+	if post, ok := tx.Get(k); ok {
+		v = post
+	}
+	e.appendInsert(k, v)
+}
+
+// inserts encodes a batch insert committed by tx: with a comb each entry's
+// post-image, without one the entries as given (already absolute).
+func (e *walEnc[K, V, A]) inserts(tx *core.Txn[K, V, A], entries []ftree.Entry[K, V], comb func(old, new V) V) {
+	if e == nil {
+		return
+	}
+	for _, en := range entries {
+		if comb != nil {
+			e.postImage(tx, en.Key, en.Val)
+		} else {
+			e.appendInsert(en.Key, en.Val)
+		}
+	}
+}
+
+// intents appends one op per buffered intent, in replay order, resolving
+// combining intents to their post-image via the committing transaction (tx
+// reads through the fully applied list, so a comb buried under later
+// writes encodes the final value — overwritten at replay by the later ops'
+// own encodes, exactly as in memory).
+func (e *walEnc[K, V, A]) intents(tx *core.Txn[K, V, A], list []intent[K, V]) {
+	if e == nil {
+		return
+	}
+	for _, in := range list {
+		switch {
+		case in.del:
+			e.appendDelete(in.key)
+		case in.comb != nil:
+			e.postImage(tx, in.key, in.val)
+		default:
+			e.appendInsert(in.key, in.val)
+		}
+	}
+}
+
+// batch encodes one combiner batch committed on shard s.  With a comb the
+// post-images are read back from the just-committed version (one pinned
+// read; the pipeline holds s's walMu, so no other logged writer can
+// advance the shard first); without one the gathered entries are already
+// absolute.  Inserts are encoded before deletes to match the commit's
+// apply order.
+func (e *walEnc[K, V, A]) batch(s *core.Map[K, V, A], inserts []ftree.Entry[K, V], deletes []K, hasComb bool) {
+	if e == nil {
+		return
+	}
+	if hasComb && len(inserts) > 0 {
+		s.WithCached(func(h *core.Handle[K, V, A]) {
+			h.Read(func(sn core.Snapshot[K, V, A]) {
+				for _, en := range inserts {
+					if v, ok := sn.Get(en.Key); ok {
+						e.appendInsert(en.Key, v)
+					} else {
+						e.appendDelete(en.Key)
+					}
+				}
+			})
+		})
+	} else {
+		for _, en := range inserts {
+			e.appendInsert(en.Key, en.Val)
+		}
+	}
+	e.appendDeletes(deletes)
 }
 
 // decodeWALOps walks one record (or snapshot) payload, calling ins/del per
@@ -176,9 +284,9 @@ func DecodeWALSnapshot[K, V any](cfg WALConfig[K, V], payload []byte) ([]ftree.E
 	return out, nil
 }
 
-// AttachWAL binds an open redo log to the map: from here on every write
-// path logs a redo record under its shard's walMu and acks only after the
-// log's fsync policy says the record is durable.  Call it after New (and
+// AttachWAL binds an open redo log to the map as the commit pipeline's
+// sink: from here on every write logs a redo record and acks only after
+// the log's fsync policy says the record is durable.  Call it after New (and
 // after RecoverWAL when reopening), before any writes and before
 // StartBatching; it is not concurrency-safe against writes.
 func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V]) error {
@@ -191,7 +299,7 @@ func (m *Map[K, V, A]) AttachWAL(cfg WALConfig[K, V]) error {
 	if m.batchers != nil {
 		return errors.New("shard: AttachWAL must precede StartBatching")
 	}
-	m.wal = &walBinding[K, V]{log: cfg.Log, cfg: cfg}
+	m.wal = &walBinding[K, V, A]{log: cfg.Log, cfg: cfg}
 	return nil
 }
 
@@ -253,7 +361,7 @@ func (m *Map[K, V, A]) Checkpoint() error {
 	// whole map, and returning that buffer to the sync.Pool would park
 	// database-sized capacity there indefinitely and hand it to point
 	// writes.  Checkpoints are rare; a throwaway allocation is fine.
-	e := &walEnc[K, V]{cfg: &w.cfg}
+	e := &walEnc[K, V, A]{cfg: &w.cfg}
 	var cut uint64
 	m.viewConsistent(func(s Snap[K, V, A]) {
 		gsns := s.GSNs()
@@ -270,134 +378,10 @@ func (m *Map[K, V, A]) Checkpoint() error {
 	return w.log.Checkpoint(cut, e.buf)
 }
 
-// walShardCommit runs one logged single-shard commit: under walMu[i] it
-// commits apply through a cached handle, encodes the record the committing
-// transaction resolved (encode runs INSIDE the transaction, after apply, so
-// combining writes read their own post-image; it must reset enc.buf itself
-// — commits retry on conflict), and appends it under the commit's GSN.  It
-// reports whether a record was appended; the caller decides when to
-// Commit() the log (group the fsync across shards).  A no-op commit (no
-// stamp) appends nothing.
-func (m *Map[K, V, A]) walShardCommit(i int, enc *walEnc[K, V], apply func(tx *core.Txn[K, V, A]), encode func(tx *core.Txn[K, V, A])) (bool, error) {
-	w := m.wal
-	var g uint64
-	m.walMu[i].Lock()
-	m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-		h.Update(func(tx *core.Txn[K, V, A]) {
-			apply(tx)
-			encode(tx)
-		})
-		g = h.LastStamp()
-	})
-	var err error
-	if g != 0 {
-		err = w.log.Append(g, enc.buf)
+// closeWAL closes the attached log, if any, flushing and syncing its tail.
+func (m *Map[K, V, A]) closeWAL() error {
+	if m.wal == nil {
+		return nil
 	}
-	m.walMu[i].Unlock()
-	return g != 0 && err == nil, err
-}
-
-// walPoint is walShardCommit plus the bracketing every independent logged
-// write shares: fail fast on a poisoned log before committing anything to
-// memory, and group-fsync after the append.
-func (m *Map[K, V, A]) walPoint(i int, apply func(tx *core.Txn[K, V, A]), encode func(e *walEnc[K, V], tx *core.Txn[K, V, A])) error {
-	w := m.wal
-	if err := w.log.Err(); err != nil {
-		return err
-	}
-	e := w.getEnc()
-	defer w.putEnc(e)
-	appended, err := m.walShardCommit(i, e, apply, func(tx *core.Txn[K, V, A]) {
-		e.buf = e.buf[:0]
-		encode(e, tx)
-	})
-	if err != nil || !appended {
-		return err
-	}
-	return w.log.Commit()
-}
-
-// encodeIntents appends one op per buffered intent, in replay order,
-// resolving combining intents to their post-image via the committing
-// transaction (tx reads through the fully applied list, so a comb buried
-// under later writes encodes the final value — overwritten at replay by
-// the later ops' own encodes, exactly as in memory).
-func encodeIntents[K, V, A any](e *walEnc[K, V], tx *core.Txn[K, V, A], list []intent[K, V]) {
-	for _, in := range list {
-		switch {
-		case in.del:
-			e.appendDelete(in.key)
-		case in.comb != nil:
-			if v, ok := tx.Get(in.key); ok {
-				e.appendInsert(in.key, v)
-			} else {
-				e.appendInsert(in.key, in.val)
-			}
-		default:
-			e.appendInsert(in.key, in.val)
-		}
-	}
-}
-
-// walPersist builds the batch.Persist hook for shard i's combiner: hold
-// walMu[i] across {batch commit + Append} and group-fsync after release.
-// With a combining function the batch's post-images are read back from the
-// just-committed version (one pinned read; under walMu no other logged
-// writer can advance the shard first); without one the gathered entries
-// are already absolute.  Inserts are encoded before deletes to match the
-// commit's apply order.
-func (m *Map[K, V, A]) walPersist(i int, hasComb bool) batch.Persist[K, V] {
-	w := m.wal
-	return func(inserts []ftree.Entry[K, V], deletes []K, commit func() uint64) error {
-		if err := w.log.Err(); err != nil {
-			return err
-		}
-		e := w.getEnc()
-		defer w.putEnc(e)
-		m.walMu[i].Lock()
-		g := commit()
-		var err error
-		if g != 0 {
-			if hasComb && len(inserts) > 0 {
-				m.shards[i].WithCached(func(h *core.Handle[K, V, A]) {
-					h.Read(func(sn core.Snapshot[K, V, A]) {
-						for _, en := range inserts {
-							if v, ok := sn.Get(en.Key); ok {
-								e.appendInsert(en.Key, v)
-							} else {
-								e.appendDelete(en.Key)
-							}
-						}
-					})
-				})
-			} else {
-				for _, en := range inserts {
-					e.appendInsert(en.Key, en.Val)
-				}
-			}
-			for _, k := range deletes {
-				e.appendDelete(k)
-			}
-			err = w.log.Append(g, e.buf)
-		}
-		m.walMu[i].Unlock()
-		if err != nil || g == 0 {
-			return err
-		}
-		return w.log.Commit()
-	}
-}
-
-// lockWALMus locks the listed shards' walMu in ascending order (the lists
-// touched() produces are already ascending).
-func (m *Map[K, V, A]) lockWALMus(touched []int) {
-	for _, i := range touched {
-		m.walMu[i].Lock()
-	}
-}
-
-func (m *Map[K, V, A]) unlockWALMus(touched []int) {
-	for j := len(touched) - 1; j >= 0; j-- {
-		m.walMu[touched[j]].Unlock()
-	}
+	return m.wal.log.Close()
 }

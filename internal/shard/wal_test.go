@@ -367,3 +367,138 @@ func TestShardWALCrashTail(t *testing.T) {
 		})
 	}
 }
+
+// TestShardWALMixedWriters drives every logged write API at once — point
+// Insert/Delete, InsertWith, Update, UpdateAtomic, UpdateAtomicKeys,
+// InsertBatch and combiner SubmitAsync with a comb — over a small key set
+// that every writer shares, across 4 shards.  Contention on the same keys
+// is the point: the map reopened from the log alone must equal the live
+// map's final state, which holds only if each shard's log order equals its
+// commit order.  The log is also read back in append order, the order a
+// follower applies it, and must replay to the same state.
+func TestShardWALMixedWriters(t *testing.T) {
+	fs := wal.NewMemFS()
+	m, _ := newWALMap(t, 4, fs)
+	add := func(old, new uint64) uint64 { return old + new }
+	m.StartBatching(batch.Config{Clients: 1, MaxBatch: 16}, add)
+	const keys = 12
+	iters := 150
+	if testing.Short() {
+		iters = 50
+	}
+	writers := []func(n uint64) error{
+		func(n uint64) error {
+			if n%3 == 0 {
+				return m.Delete(n % keys)
+			}
+			return m.Insert(n%keys, n)
+		},
+		func(n uint64) error { return m.InsertWith((n*5)%keys, 1, add) },
+		func(n uint64) error {
+			return m.Update(func(tx *Txn[uint64, uint64, struct{}]) {
+				tx.InsertWith(n%keys, 2, add)
+				tx.Insert((n+1)%keys, n)
+				tx.Delete((n + 7) % keys)
+			})
+		},
+		func(n uint64) error {
+			return m.UpdateAtomic(func(tx *Txn[uint64, uint64, struct{}]) {
+				tx.InsertWith((n*3)%keys, 3, add)
+				tx.InsertWith((n*3+1)%keys, 3, add)
+			})
+		},
+		func(n uint64) error {
+			a, b := (n*7)%keys, (n*7+2)%keys
+			return m.UpdateAtomicKeys([]uint64{a, b}, func(tx *Txn[uint64, uint64, struct{}]) {
+				va, _ := tx.Get(a)
+				vb, _ := tx.Get(b)
+				tx.Insert(a, vb+1)
+				tx.Insert(b, va+1)
+			})
+		},
+		func(n uint64) error {
+			return m.InsertBatch([]ftree.Entry[uint64, uint64]{
+				{Key: n % keys, Val: 4}, {Key: (n + 5) % keys, Val: 4}, {Key: (n + 6) % keys, Val: 4},
+			}, add)
+		},
+		func(n uint64) error {
+			errc := make(chan error, 1)
+			m.SubmitAsync(0, batch.Request[uint64, uint64]{Op: batch.OpInsert, Key: (n * 11) % keys, Val: 5},
+				func(err error) { errc <- err })
+			return <-errc
+		},
+	}
+	var wg sync.WaitGroup
+	for w, write := range writers {
+		wg.Add(1)
+		go func(w int, write func(uint64) error) {
+			defer wg.Done()
+			for n := uint64(0); n < uint64(iters); n++ {
+				if err := write(n); err != nil {
+					t.Errorf("writer %d, step %d: %v", w, n, err)
+					return
+				}
+			}
+		}(w, write)
+	}
+	wg.Wait()
+	want := dump(m)
+
+	// Followers apply records in log order, not GSN order: per shard, the
+	// log must list records in commit order — GSNs strictly increasing —
+	// and replaying them in that order must rebuild the live map.
+	tl, err := m.WAL().Tail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[uint64]uint64{}
+	last := make([]uint64, m.NumShards())
+	for {
+		recs, err := tl.Next(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		for _, r := range recs {
+			touch := func(k uint64) {
+				i := m.ShardFor(k)
+				if r.GSN < last[i] {
+					t.Fatalf("shard %d: record gsn=%d logged after gsn=%d", i, r.GSN, last[i])
+				}
+				last[i] = r.GSN
+			}
+			err := decodeWALOps(&m.wal.cfg, r.Payload,
+				func(k, v uint64) { touch(k); model[k] = v },
+				func(k uint64) { touch(k); delete(model, k) })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tl.Close()
+	if len(model) != len(want) {
+		t.Fatalf("log-order replay has %d keys, want %d: got %v want %v", len(model), len(want), model, want)
+	}
+	for k, v := range want {
+		if mv, ok := model[k]; !ok || mv != v {
+			t.Fatalf("log-order replay: key %d = (%d, %v), want %d", k, mv, ok, v)
+		}
+	}
+
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := reopenWALMap(t, 4, fs)
+	defer m2.Close()
+	got := dump(m2)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d keys, want %d: got %v want %v", len(got), len(want), got, want)
+	}
+	for k, v := range want {
+		if gv, ok := got[k]; !ok || gv != v {
+			t.Fatalf("key %d: recovered (%d, %v), want %d (got %v want %v)", k, gv, ok, v, got, want)
+		}
+	}
+}
