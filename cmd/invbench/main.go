@@ -3,8 +3,9 @@
 // work separately.  The paper's claim is that Tu + Tq ≈ Tu+q, i.e.
 // co-running adds almost no overhead because queries are delay-free reads
 // on snapshots and the single writer's parallel unions soak up idle cores.
-// A final row runs the hash-sharded index (-shards), whose S writers
-// ingest in parallel.
+// The sweep runs the index at one shard (the paper's single index); a
+// final row partitions it across -shards shards, whose S writers ingest
+// in parallel.
 //
 // Usage:
 //

@@ -81,7 +81,9 @@ func (r *AllocReport) WriteJSON(w io.Writer) error {
 const InvSchema = "BENCH_inv/v1"
 
 // InvRecord is one Table 3 row: p query threads co-running with one
-// ingesting writer (Shards > 0 marks the hash-sharded index).
+// ingesting writer.  Shards == 0 marks the paper's single-index rows (the
+// index run at one shard); Shards > 0 is the row partitioned across that
+// many shards.
 type InvRecord struct {
 	QueryThreads int     `json:"query_threads"`
 	Shards       int     `json:"shards,omitempty"`

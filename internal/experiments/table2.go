@@ -220,10 +220,3 @@ func RunFigure6(cfg Figure6Config, w io.Writer) {
 	}
 	t.Fprint(w)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -30,9 +30,10 @@ type Table3Config struct {
 	DocsPerBatch int
 	// TopK is the query result size (paper: top-10).
 	TopK int
-	// Shards selects the hash-partitioned ShardedIndex when positive; zero
-	// runs the paper's single index.  RunTable3 sweeps the single index and
-	// then appends one sharded row at this shard count.
+	// Shards hash-partitions the index's term tree across this many shards
+	// when positive; zero runs the paper's single index (one shard).
+	// RunTable3 sweeps the single index and then appends one sharded row at
+	// this shard count.
 	Shards int
 }
 
@@ -76,24 +77,16 @@ func DefaultTable3() Table3Config {
 // (Tu), the queries alone (Tq), and both together (Tuq ≈ the window).
 type Table3Row struct {
 	QueryThreads int
-	Shards       int   // 0 for the paper's single index
+	Shards       int   // 0 for the paper's single index (run at one shard)
 	Updates      int64 // documents ingested during the window
 	Queries      int64 // and-queries answered during the window
 	Tu, Tq, Tuq  float64
 }
 
-// table3Index is the surface the experiment drives; invindex.Index and
-// invindex.ShardedIndex both provide it, pid-free.
-type table3Index interface {
-	AddDocuments(docs []invindex.Doc)
-	AndQuery(term1, term2 uint64, k int) []invindex.ScoredDoc
-	Close()
-}
-
 // RunTable3Row measures one sweep point: p query threads and one ingesting
 // writer share the window; then the same number of updates and queries are
-// re-run separately with all threads.  cfg.Shards > 0 swaps in the sharded
-// index.
+// re-run separately with all threads.  cfg.Shards > 0 partitions the
+// index across that many shards.
 func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	if p >= cfg.Threads {
 		p = cfg.Threads - 1 // leave room for the writer process
@@ -181,16 +174,8 @@ func RunTable3Row(cfg Table3Config, p int) Table3Row {
 	return Table3Row{QueryThreads: p, Shards: cfg.Shards, Updates: u, Queries: q, Tu: tu, Tq: tq, Tuq: tuq}
 }
 
-func mustIndex(cfg Table3Config) table3Index {
-	var (
-		ix  table3Index
-		err error
-	)
-	if cfg.Shards > 0 {
-		ix, err = invindex.NewSharded(cfg.Shards, cfg.Threads+1, 2048)
-	} else {
-		ix, err = invindex.New(cfg.Threads+1, 2048)
-	}
+func mustIndex(cfg Table3Config) *invindex.Index {
+	ix, err := invindex.New(max(cfg.Shards, 1), cfg.Threads+1, 2048)
 	if err != nil {
 		panic(err)
 	}
@@ -207,8 +192,8 @@ func nextDocs(c *invindex.Corpus, n int) []invindex.Doc {
 
 // RunTable3 sweeps query-thread counts on the paper's single index and
 // renders Table 3 (if co-running adds little overhead, Tu + Tq ≈ Tu+q),
-// then appends one row for the hash-sharded index (cfg.Shards shards) at
-// the sweep's largest p.  It returns the measured rows in the BENCH_inv/v1
+// then appends one row with the index hash-partitioned across cfg.Shards
+// shards at the sweep's largest p.  It returns the measured rows in the BENCH_inv/v1
 // record form for machine-readable output.
 func RunTable3(cfg Table3Config, w io.Writer) []bench.InvRecord {
 	t := bench.NewTable(

@@ -1,17 +1,44 @@
 package invindex
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
 )
 
-func TestAddAndQuery(t *testing.T) {
-	ix, err := New(2, 0)
+// forShards runs f as one subtest per shard count: S = 1 is the paper's
+// single index, and at S = 3 the tests' terms span shards, so the
+// cross-shard install and stable-pin paths run too.
+func forShards(t *testing.T, f func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { f(t, shards) })
+	}
+}
+
+// mustNew builds an index or fails the test.
+func mustNew(t *testing.T, shards, procs, grain int) *Index {
+	t.Helper()
+	ix, err := New(shards, procs, grain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ix
+}
+
+// closeNoLeak closes ix and checks precise collection: no outer or inner
+// node may outlive the index.
+func closeNoLeak(t *testing.T, ix *Index) {
+	t.Helper()
+	ix.Close()
+	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
+		t.Fatalf("leak: outer %d inner %d", o, i)
+	}
+}
+
+func TestAddAndQuery(t *testing.T) {
+	ix := mustNew(t, 1, 2, 0)
 	ix.AddDocument(Doc{ID: 1, Terms: []TermWeight{{10, 5}, {20, 7}}})
 	ix.AddDocument(Doc{ID: 2, Terms: []TermWeight{{10, 3}, {30, 1}}})
 	ix.AddDocument(Doc{ID: 3, Terms: []TermWeight{{10, 9}, {20, 2}}})
@@ -30,20 +57,20 @@ func TestAddAndQuery(t *testing.T) {
 	if res := ix.AndQuery(10, 999, 10); res != nil {
 		t.Fatalf("query with absent term returned %v", res)
 	}
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 func TestAtomicDocumentIngestion(t *testing.T) {
 	// A document's terms must appear all-or-nothing: while the writer
 	// ingests documents with a fixed pair of terms, no snapshot may see one
-	// term's posting for a doc without the other's.
-	ix, err := New(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// term's posting for a doc without the other's.  Terms 1 and 2 share a
+	// shard at S = 3 as well, so the two per-term reads stay ordered;
+	// TestShardedDocumentAtomicity covers a pair that spans shards.
+	forShards(t, testAtomicDocumentIngestion)
+}
+
+func testAtomicDocumentIngestion(t *testing.T, shards int) {
+	ix := mustNew(t, shards, 4, 0)
 	const docs = 300
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -79,17 +106,15 @@ func TestAtomicDocumentIngestion(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 func TestRemoveDocument(t *testing.T) {
-	ix, err := New(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, testRemoveDocument)
+}
+
+func testRemoveDocument(t *testing.T, shards int) {
+	ix := mustNew(t, shards, 1, 0)
 	d := Doc{ID: 5, Terms: []TermWeight{{10, 1}, {20, 2}}}
 	ix.AddDocument(d)
 	ix.AddDocument(Doc{ID: 6, Terms: []TermWeight{{10, 3}}})
@@ -100,17 +125,11 @@ func TestRemoveDocument(t *testing.T) {
 	if n := ix.Terms(); n != 1 {
 		t.Fatalf("vocabulary = %d after removal, want 1 (term 20 dropped)", n)
 	}
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 func TestTopKAgainstBruteForce(t *testing.T) {
-	ix, err := New(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustNew(t, 1, 1, 0)
 	rng := rand.New(rand.NewSource(33))
 	type dw struct {
 		d uint64
@@ -193,11 +212,12 @@ func TestCorpusGeneration(t *testing.T) {
 // TestConcurrentQueriesDuringIngestion is a miniature of Table 3's dynamic
 // setting: queries and batched updates run simultaneously, all pid-free.
 func TestConcurrentQueriesDuringIngestion(t *testing.T) {
+	forShards(t, testConcurrentQueriesDuringIngestion)
+}
+
+func testConcurrentQueriesDuringIngestion(t *testing.T, shards int) {
 	const procs = 4
-	ix, err := New(procs, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustNew(t, shards, procs, 64)
 	c := NewCorpus(CorpusConfig{Vocab: 500, MeanDocLen: 24, Seed: 2})
 	hot := c.HotTerms(8)
 	var wg sync.WaitGroup
@@ -227,28 +247,28 @@ func TestConcurrentQueriesDuringIngestion(t *testing.T) {
 				}
 				t1 := hot[rng.Intn(len(hot))]
 				t2 := hot[rng.Intn(len(hot))]
-				res := ix.AndQuery(t1, t2, 10)
-				for i := 1; i < len(res); i++ {
-					if res[i].Score > res[i-1].Score {
-						t.Errorf("results not ranked: %v", res)
-						return
+				t3 := hot[rng.Intn(len(hot))]
+				for _, res := range [][]ScoredDoc{ix.AndQuery(t1, t2, 10), ix.AndQueryN([]uint64{t1, t2, t3}, 10)} {
+					for i := 1; i < len(res); i++ {
+						if res[i].Score > res[i-1].Score {
+							t.Errorf("results not ranked: %v", res)
+							return
+						}
 					}
 				}
 			}
 		}(p)
 	}
 	wg.Wait()
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 func TestOrQuery(t *testing.T) {
-	ix, err := New(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, testOrQuery)
+}
+
+func testOrQuery(t *testing.T, shards int) {
+	ix := mustNew(t, shards, 1, 0)
 	ix.AddDocument(Doc{ID: 1, Terms: []TermWeight{{10, 5}}})
 	ix.AddDocument(Doc{ID: 2, Terms: []TermWeight{{20, 7}}})
 	ix.AddDocument(Doc{ID: 3, Terms: []TermWeight{{10, 2}, {20, 2}}})
@@ -267,17 +287,15 @@ func TestOrQuery(t *testing.T) {
 	if res := ix.OrQuery(998, 999, 10); res != nil {
 		t.Fatalf("or with both absent = %+v", res)
 	}
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 func TestAndQueryN(t *testing.T) {
-	ix, err := New(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, testAndQueryN)
+}
+
+func testAndQueryN(t *testing.T, shards int) {
+	ix := mustNew(t, shards, 1, 0)
 	ix.AddDocument(Doc{ID: 1, Terms: []TermWeight{{1, 1}, {2, 1}, {3, 1}}})
 	ix.AddDocument(Doc{ID: 2, Terms: []TermWeight{{1, 9}, {2, 9}}})
 	ix.AddDocument(Doc{ID: 3, Terms: []TermWeight{{1, 4}, {2, 4}, {3, 4}}})
@@ -305,8 +323,5 @@ func TestAndQueryN(t *testing.T) {
 	if res := ix.AndQueryN([]uint64{1, 99}, 10); res != nil {
 		t.Fatal("absent term must empty the intersection")
 	}
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }

@@ -1,33 +1,15 @@
 package invindex
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
 
-// queryable is the surface Index and ShardedIndex share; the equivalence
-// tests below run both against the same corpus.
-type queryable interface {
-	AddDocuments(docs []Doc)
-	AndQuery(term1, term2 uint64, k int) []ScoredDoc
-	AndQueryN(terms []uint64, k int) []ScoredDoc
-	OrQuery(term1, term2 uint64, k int) []ScoredDoc
-	PostingLen(term uint64) int64
-	Terms() int64
-	Close()
-}
-
-var (
-	_ queryable = (*Index)(nil)
-	_ queryable = (*ShardedIndex)(nil)
-)
-
 func TestShardedAddAndQuery(t *testing.T) {
-	ix, err := NewSharded(4, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustNew(t, 4, 2, 0)
 	ix.AddDocument(Doc{ID: 1, Terms: []TermWeight{{10, 5}, {20, 7}}})
 	ix.AddDocument(Doc{ID: 2, Terms: []TermWeight{{10, 3}, {30, 1}}})
 	ix.AddDocument(Doc{ID: 3, Terms: []TermWeight{{10, 9}, {20, 2}}})
@@ -45,15 +27,94 @@ func TestShardedAddAndQuery(t *testing.T) {
 	if res := ix.AndQuery(10, 999, 10); res != nil {
 		t.Fatalf("query with absent term returned %v", res)
 	}
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
+	closeNoLeak(t, ix)
+}
+
+// model is a brute-force inverted index built straight from the documents:
+// term → doc → summed weight.  It shares no code with Index.
+type model map[uint64]map[uint64]int64
+
+func newModel(docs []Doc) model {
+	m := model{}
+	for _, d := range docs {
+		for _, tw := range d.Terms {
+			if m[tw.Term] == nil {
+				m[tw.Term] = map[uint64]int64{}
+			}
+			m[tw.Term][d.ID] += tw.Weight
+		}
+	}
+	return m
+}
+
+// query scores every document carrying all of terms (all) or any of them,
+// summing each listed term's weight (a repeated term counts twice, as in
+// the index), and returns the top k by (score desc, doc asc).
+func (m model) query(terms []uint64, all bool, k int) []ScoredDoc {
+	score, hits := map[uint64]int64{}, map[uint64]int{}
+	for _, t := range terms {
+		for d, w := range m[t] {
+			score[d] += w
+			hits[d]++
+		}
+	}
+	var out []ScoredDoc
+	for d, sc := range score {
+		if !all || hits[d] == len(terms) {
+			out = append(out, ScoredDoc{Doc: d, Score: sc})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Doc < out[j].Doc
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// checkAgainstModel compares every query form of ix with the brute-force
+// model at quiescence, on random picks from hot plus one absent term.
+func checkAgainstModel(t *testing.T, name string, ix *Index, m model, hot []uint64, seed int64) {
+	t.Helper()
+	if got, want := ix.Terms(), int64(len(m)); got != want {
+		t.Fatalf("%s: Terms = %d, want %d", name, got, want)
+	}
+	for term, ds := range m {
+		if got, want := ix.PostingLen(term), int64(len(ds)); got != want {
+			t.Fatalf("%s: PostingLen(%d) = %d, want %d", name, term, got, want)
+		}
+	}
+	pool := append(append([]uint64(nil), hot...), 1<<40)
+	rng := rand.New(rand.NewSource(seed))
+	pick := func() uint64 { return pool[rng.Intn(len(pool))] }
+	check := func(form string, terms []uint64, got, want []ScoredDoc) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %s%v = %v, want %v", name, form, terms, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: %s%v[%d] = %v, want %v", name, form, terms, i, got[i], want[i])
+			}
+		}
+	}
+	for q := 0; q < 50; q++ {
+		t1, t2, t3 := pick(), pick(), pick()
+		pair, triple := []uint64{t1, t2}, []uint64{t1, t2, t3}
+		check("AndQuery", pair, ix.AndQuery(t1, t2, 10), m.query(pair, true, 10))
+		check("OrQuery", pair, ix.OrQuery(t1, t2, 5), m.query(pair, false, 5))
+		check("AndQueryN", triple, ix.AndQueryN(triple, 10), m.query(triple, true, 10))
 	}
 }
 
-// TestShardedMatchesUnsharded ingests the same corpus into the unsharded
-// and the sharded index and checks that every query form agrees at
-// quiescence, for shard counts around and above the vocabulary spread.
+// TestShardedMatchesUnsharded ingests one corpus into the index at shard
+// counts around and above the vocabulary spread — S = 1 being the paper's
+// single index — and checks every query form against a brute-force model
+// at quiescence, for the batch and the per-document ingest paths.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	c := NewCorpus(CorpusConfig{Vocab: 300, MeanDocLen: 24, Seed: 11})
 	var docs []Doc
@@ -61,90 +122,29 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		docs = append(docs, c.Next())
 	}
 	hot := c.HotTerms(12)
+	m := newModel(docs)
 
-	ref, err := New(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.AddDocuments(docs)
 	for _, shards := range []int{1, 3, 8} {
-		ix, err := NewSharded(shards, 2, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := mustNew(t, shards, 2, 0)
 		ix.AddDocuments(docs)
-		if got, want := ix.Terms(), ref.Terms(); got != want {
-			t.Fatalf("S=%d: Terms = %d, want %d", shards, got, want)
-		}
-		rng := rand.New(rand.NewSource(int64(shards)))
-		for q := 0; q < 50; q++ {
-			t1 := hot[rng.Intn(len(hot))]
-			t2 := hot[rng.Intn(len(hot))]
-			if got, want := ix.PostingLen(t1), ref.PostingLen(t1); got != want {
-				t.Fatalf("S=%d: PostingLen(%d) = %d, want %d", shards, t1, got, want)
-			}
-			check := func(form string, got, want []ScoredDoc) {
-				if len(got) != len(want) {
-					t.Fatalf("S=%d: %s(%d,%d) = %v, want %v", shards, form, t1, t2, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("S=%d: %s(%d,%d)[%d] = %v, want %v", shards, form, t1, t2, i, got[i], want[i])
-					}
-				}
-			}
-			check("AndQuery", ix.AndQuery(t1, t2, 10), ref.AndQuery(t1, t2, 10))
-			check("OrQuery", ix.OrQuery(t1, t2, 5), ref.OrQuery(t1, t2, 5))
-			t3 := hot[rng.Intn(len(hot))]
-			check("AndQueryN", ix.AndQueryN([]uint64{t1, t2, t3}, 10), ref.AndQueryN([]uint64{t1, t2, t3}, 10))
-		}
-		ix.Close()
-		if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-			t.Fatalf("S=%d leak: outer %d inner %d", shards, o, i)
-		}
+		checkAgainstModel(t, fmt.Sprintf("S=%d", shards), ix, m, hot, int64(shards))
+		closeNoLeak(t, ix)
 	}
 
-	// Same corpus ingested document by document — the per-document atomic
-	// cross-shard install path — must agree with the batch path too.
-	perDoc, err := NewSharded(3, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Document by document: the per-document atomic cross-shard install
+	// path.
+	ix := mustNew(t, 3, 2, 0)
 	for _, d := range docs {
-		perDoc.AddDocument(d)
+		ix.AddDocument(d)
 	}
-	if got, want := perDoc.Terms(), ref.Terms(); got != want {
-		t.Fatalf("per-doc ingest: Terms = %d, want %d", got, want)
-	}
-	for q := 0; q < 20; q++ {
-		t1, t2 := hot[q%len(hot)], hot[(q*5+1)%len(hot)]
-		got, want := perDoc.AndQuery(t1, t2, 10), ref.AndQuery(t1, t2, 10)
-		if len(got) != len(want) {
-			t.Fatalf("per-doc ingest: AndQuery(%d,%d) = %v, want %v", t1, t2, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("per-doc ingest: AndQuery(%d,%d)[%d] = %v, want %v", t1, t2, i, got[i], want[i])
-			}
-		}
-	}
-	perDoc.Close()
-	if o, i := perDoc.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("per-doc leak: outer %d inner %d", o, i)
-	}
-	ref.Close()
-	if o, i := ref.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("ref leak: outer %d inner %d", o, i)
-	}
+	checkAgainstModel(t, "per-doc S=3", ix, m, hot, 3)
+	closeNoLeak(t, ix)
 }
 
 // TestShardedConcurrent races parallel ingestion against queries on every
 // shard and checks ranking invariants plus precise per-shard collection.
 func TestShardedConcurrent(t *testing.T) {
-	ix, err := NewSharded(3, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustNew(t, 3, 4, 64)
 	c := NewCorpus(CorpusConfig{Vocab: 400, MeanDocLen: 24, Seed: 5})
 	hot := c.HotTerms(8)
 	var wg sync.WaitGroup
@@ -194,10 +194,7 @@ func TestShardedConcurrent(t *testing.T) {
 		}(p)
 	}
 	qwg.Wait()
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 // TestShardedDocumentAtomicity races per-document ingestion (and removal)
@@ -207,10 +204,7 @@ func TestShardedConcurrent(t *testing.T) {
 // the other — exactly the torn state the global-stamp install protocol and
 // the stable-pin read protocol exist to prevent.
 func TestShardedDocumentAtomicity(t *testing.T) {
-	ix, err := NewSharded(4, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustNew(t, 4, 4, 0)
 	// Find two terms on different shards.
 	tA := uint64(1)
 	tB := tA + 1
@@ -254,17 +248,11 @@ func TestShardedDocumentAtomicity(t *testing.T) {
 	}
 	wg.Wait()
 	qwg.Wait()
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
 func TestShardedRemoveDocument(t *testing.T) {
-	ix, err := NewSharded(4, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := mustNew(t, 4, 1, 0)
 	d := Doc{ID: 5, Terms: []TermWeight{{10, 1}, {20, 2}, {30, 3}}}
 	ix.AddDocument(d)
 	ix.AddDocument(Doc{ID: 6, Terms: []TermWeight{{10, 3}}})
@@ -275,14 +263,11 @@ func TestShardedRemoveDocument(t *testing.T) {
 	if n := ix.Terms(); n != 1 {
 		t.Fatalf("vocabulary = %d after removal, want 1", n)
 	}
-	ix.Close()
-	if o, i := ix.LiveNodes(); o != 0 || i != 0 {
-		t.Fatalf("leak: outer %d inner %d", o, i)
-	}
+	closeNoLeak(t, ix)
 }
 
-func TestNewShardedRejectsBadShards(t *testing.T) {
-	if _, err := NewSharded(0, 1, 0); err == nil {
-		t.Fatal("NewSharded(0, ...) must error")
+func TestNewRejectsBadShards(t *testing.T) {
+	if _, err := New(0, 1, 0); err == nil {
+		t.Fatal("New(0, ...) must error")
 	}
 }

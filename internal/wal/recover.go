@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -334,26 +335,15 @@ func readSegment(fs FS, name string) (recs []Record, maxGSN uint64, good, size i
 	}
 	off := len(segMagic)
 	for off < len(data) {
-		if len(data)-off < frameHeader {
+		rec, n, err := decodeFrame(data[off:])
+		if err != nil {
+			// Any bad frame is where the torn tail starts.
 			return recs, maxGSN, int64(off), size, true, nil
 		}
-		blen := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if blen < 8 || blen > maxRecordBytes || off+frameHeader+blen > len(data) {
-			return recs, maxGSN, int64(off), size, true, nil
-		}
-		body := data[off+frameHeader : off+frameHeader+blen]
-		if crc32.Checksum(body, crcTable) != crc {
-			return recs, maxGSN, int64(off), size, true, nil
-		}
-		gsn := binary.LittleEndian.Uint64(body)
-		payload := make([]byte, blen-8)
-		copy(payload, body[8:])
-		recs = append(recs, Record{GSN: gsn, Payload: payload})
-		if gsn > maxGSN {
-			maxGSN = gsn
-		}
-		off += frameHeader + blen
+		rec.Payload = bytes.Clone(rec.Payload)
+		recs = append(recs, rec)
+		maxGSN = max(maxGSN, rec.GSN)
+		off += n
 	}
 	return recs, maxGSN, int64(off), size, false, nil
 }

@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 )
@@ -340,23 +340,17 @@ func (t *Tailer) read(name string, limit int64) ([]Record, error) {
 
 	var recs []Record
 	off := 0
-	for off+frameHeader <= len(t.buf) {
-		blen := int(binary.LittleEndian.Uint32(t.buf[off:]))
-		crc := binary.LittleEndian.Uint32(t.buf[off+4:])
-		if blen < 8 || blen > maxRecordBytes {
-			return nil, fmt.Errorf("wal: tail %s: bad frame length %d", name, blen)
+	for {
+		rec, n, err := decodeFrame(t.buf[off:])
+		if errors.Is(err, errFrameShort) {
+			break // the rest of the frame is beyond this read
 		}
-		if off+frameHeader+blen > len(t.buf) {
-			break
+		if err != nil {
+			return nil, fmt.Errorf("wal: tail %s: %w inside durable window", name, err)
 		}
-		body := t.buf[off+frameHeader : off+frameHeader+blen]
-		if crc32.Checksum(body, crcTable) != crc {
-			return nil, fmt.Errorf("wal: tail %s: frame CRC mismatch inside durable window", name)
-		}
-		payload := make([]byte, blen-8)
-		copy(payload, body[8:])
-		recs = append(recs, Record{GSN: binary.LittleEndian.Uint64(body), Payload: payload})
-		off += frameHeader + blen
+		rec.Payload = bytes.Clone(rec.Payload)
+		recs = append(recs, rec)
+		off += n
 	}
 	t.buf = append(t.buf[:0], t.buf[off:]...)
 	return recs, nil
@@ -385,7 +379,9 @@ func (t *Tailer) Close() error {
 }
 
 // scanForGSN walks the first limit bytes of a segment looking for the
-// frame stamped gsn, returning the offset just past it.
+// frame stamped gsn, returning the offset just past it.  Every frame it
+// passes must decode, CRC included: the bytes are inside the durable
+// window.
 func scanForGSN(fs FS, name string, limit int64, gsn uint64) (after int64, found bool, err error) {
 	if limit <= int64(len(segMagic)) {
 		return 0, false, nil
@@ -405,13 +401,12 @@ func scanForGSN(fs FS, name string, limit int64, gsn uint64) (after int64, found
 	}
 	off := len(segMagic)
 	for off+frameHeader <= len(data) {
-		blen := int(binary.LittleEndian.Uint32(data[off:]))
-		if blen < 8 || blen > maxRecordBytes || off+frameHeader+blen > len(data) {
-			return 0, false, fmt.Errorf("wal: scan %s: torn frame inside durable window", name)
+		rec, n, err := decodeFrame(data[off:])
+		if err != nil {
+			return 0, false, fmt.Errorf("wal: scan %s: %w inside durable window", name, err)
 		}
-		body := data[off+frameHeader : off+frameHeader+blen]
-		off += frameHeader + blen
-		if binary.LittleEndian.Uint64(body) == gsn {
+		off += n
+		if rec.GSN == gsn {
 			return int64(off), true, nil
 		}
 	}

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -109,6 +110,33 @@ func TestTailResume(t *testing.T) {
 
 	if _, err := l.Tail(99, 0); !errors.Is(err, ErrTailTruncated) {
 		t.Fatalf("Tail(unknown GSN) = %v, want ErrTailTruncated", err)
+	}
+}
+
+// TestTailScanChecksCRC: resuming a tail scans the durable window for the
+// resume point, and a frame there whose body fails its CRC is corruption:
+// Tail reports it rather than resuming past it.
+func TestTailScanChecksCRC(t *testing.T) {
+	fs := NewMemFS()
+	l, _ := openMem(t, fs, Options{})
+	defer l.Close()
+	for g := uint64(1); g <= 3; g++ {
+		appendCommit(t, l, g, fmt.Sprintf("v%d", g))
+	}
+	tl, err := l.Tail(2, 0)
+	if err != nil {
+		t.Fatalf("Tail(2): %v", err)
+	}
+	tl.Close()
+
+	// Flip a payload byte of record 1, which the scan passes on its way
+	// to record 2.
+	name := filepath.Join("db", segName(1))
+	fs.mu.Lock()
+	fs.files[name].data[len(segMagic)+frameHeader+8] ^= 0xff
+	fs.mu.Unlock()
+	if _, err := l.Tail(2, 0); !errors.Is(err, errFrameCRC) {
+		t.Fatalf("Tail(2) over a corrupt frame = %v, want errFrameCRC", err)
 	}
 }
 

@@ -294,6 +294,39 @@ func appendFrame(dst []byte, gsn uint64, payload []byte) []byte {
 	return dst
 }
 
+// Why decodeFrame stopped.  Each reader keeps its own policy: recovery
+// reads any of them as a torn tail; the tailer and scanForGSN wait for
+// more bytes on errFrameShort and treat the others as corruption inside
+// the durable window.
+var (
+	errFrameShort = errors.New("short frame")
+	errFrameLen   = errors.New("bad frame length")
+	errFrameCRC   = errors.New("frame CRC mismatch")
+)
+
+// decodeFrame is appendFrame's inverse: it decodes the frame at the start
+// of b into a record whose payload aliases b, and returns the frame's
+// encoded size.  It fails with errFrameShort when b ends before the frame
+// does, errFrameLen when the length field is out of range, and errFrameCRC
+// when the body fails its checksum.
+func decodeFrame(b []byte) (rec Record, n int, err error) {
+	if len(b) < frameHeader {
+		return Record{}, 0, errFrameShort
+	}
+	blen := int(binary.LittleEndian.Uint32(b))
+	if blen < 8 || blen > maxRecordBytes {
+		return Record{}, 0, fmt.Errorf("%w %d", errFrameLen, blen)
+	}
+	if len(b) < frameHeader+blen {
+		return Record{}, 0, errFrameShort
+	}
+	body := b[frameHeader : frameHeader+blen]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
+		return Record{}, 0, errFrameCRC
+	}
+	return Record{GSN: binary.LittleEndian.Uint64(body), Payload: body[8:]}, frameHeader + blen, nil
+}
+
 // Commit makes every record appended so far durable under FsyncAlways
 // (group commit: one leader fsyncs for all concurrent committers) and is
 // a no-op returning only the sticky error under the other policies.

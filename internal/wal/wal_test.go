@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -97,6 +98,34 @@ func TestTornTail(t *testing.T) {
 				t.Fatalf("torn=%d: phantom record %q", torn, r.Payload)
 			}
 		}
+	}
+}
+
+// TestDecodeFrame: decodeFrame inverts appendFrame and names why it stops
+// on every proper prefix, an out-of-range length field and a flipped body
+// bit.
+func TestDecodeFrame(t *testing.T) {
+	frame := appendFrame(nil, 7, []byte("payload"))
+	rec, n, err := decodeFrame(append(frame, 0xaa)) // plus the next frame's first byte
+	if err != nil || n != len(frame) || rec.GSN != 7 || string(rec.Payload) != "payload" {
+		t.Fatalf("decodeFrame = %+v, %d, %v", rec, n, err)
+	}
+	for cut := 0; cut < len(frame); cut++ {
+		if _, _, err := decodeFrame(frame[:cut]); !errors.Is(err, errFrameShort) {
+			t.Fatalf("cut=%d: err %v, want errFrameShort", cut, err)
+		}
+	}
+	for _, blen := range []uint32{0, 7, maxRecordBytes + 1} {
+		bad := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(bad, blen)
+		if _, _, err := decodeFrame(bad); !errors.Is(err, errFrameLen) {
+			t.Fatalf("length %d: err %v, want errFrameLen", blen, err)
+		}
+	}
+	bad := append([]byte(nil), frame...)
+	bad[len(bad)-1] ^= 1
+	if _, _, err := decodeFrame(bad); !errors.Is(err, errFrameCRC) {
+		t.Fatalf("flipped bit: err %v, want errFrameCRC", err)
 	}
 }
 
